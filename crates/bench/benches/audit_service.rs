@@ -8,11 +8,13 @@
 //!   time: staggered first audits, jittered cadence, REJECT fast-track
 //!   re-audits, and the wall-clock throughput of the scheduler itself
 //!   (pops + completions per real second).
-//! * **Phase B (real-TCP soak)** — the reactor mux server vs the
-//!   threaded mux server on loopback: identical audit workload, the
-//!   reactor additionally holding thousands of idle sockets (the load
-//!   shape threads cannot reach). Asserts reactor audits/s ≥ threaded
-//!   audits/s and records p99 per-challenge session latency for both.
+//! * **Phase B (real-TCP soak)** — the prover server (reactor) vs the
+//!   thread-per-connection test oracle on loopback: identical
+//!   single-challenge round-trip workload, the reactor additionally
+//!   holding thousands of idle sockets (the load shape threads cannot
+//!   reach). Asserts reactor challenges/s ≥ threaded challenges/s and
+//!   records p99 per-challenge latency for both. A round trip is one
+//!   challenge, not a k-round signed audit (`perfbench` times those).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use geoproof_bench::{BenchSnapshot, Json};
@@ -21,6 +23,7 @@ use geoproof_core::scheduler::{AuditScheduler, SchedulePolicy};
 use geoproof_crypto::fnv::fnv1a_64;
 use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::{SimDuration, SimInstant};
+use geoproof_wire::oracle::ThreadedOracle;
 use geoproof_wire::tcp::SegmentStore;
 use geoproof_wire::{MuxProverServer, TcpChallenger};
 use parking_lot::Mutex;
@@ -144,7 +147,7 @@ fn store() -> SegmentStore {
 }
 
 struct SoakOutcome {
-    audits_per_s: f64,
+    challenges_per_s: f64,
     p99_us: u64,
     samples: u64,
 }
@@ -187,7 +190,7 @@ fn soak(addr: SocketAddr) -> SoakOutcome {
     rtts.sort_unstable();
     let p99 = rtts[(rtts.len() * 99 / 100).min(rtts.len() - 1)];
     SoakOutcome {
-        audits_per_s: total.load(Ordering::Relaxed) as f64 / secs,
+        challenges_per_s: total.load(Ordering::Relaxed) as f64 / secs,
         p99_us: p99,
         samples: rtts.len() as u64,
     }
@@ -222,7 +225,7 @@ fn audit_service_snapshot(_c: &mut Criterion) {
     // holds the idle-descriptor flood throughout — the threaded model
     // could not survive it (one parked thread per socket), which is
     // the point.
-    let mut threaded_srv = MuxProverServer::spawn(store(), Duration::ZERO).expect("spawn threaded");
+    let mut threaded_srv = ThreadedOracle::spawn(store(), Duration::ZERO).expect("spawn oracle");
     let mut reactor_srv = match MuxProverServer::spawn_reactor(store(), Duration::ZERO) {
         Ok(server) => Some(server),
         Err(e) if e.kind() == std::io::ErrorKind::Unsupported => None,
@@ -259,12 +262,12 @@ fn audit_service_snapshot(_c: &mut Criterion) {
             break;
         };
         let r = soak(server.addr());
-        let ratio = r.audits_per_s / t.audits_per_s;
+        let ratio = r.challenges_per_s / t.challenges_per_s;
         println!(
-            "phase B round {}: threaded {:.0} vs reactor {:.0} audits/s (ratio {ratio:.3}x)",
+            "phase B round {}: threaded {:.0} vs reactor {:.0} challenges/s (ratio {ratio:.3}x)",
             round + 1,
-            t.audits_per_s,
-            r.audits_per_s
+            t.challenges_per_s,
+            r.challenges_per_s
         );
         if ratio > best_ratio {
             best_ratio = ratio;
@@ -316,8 +319,8 @@ fn audit_service_snapshot(_c: &mut Criterion) {
     .run(vec![
         ("mode".to_owned(), Json::Str("tcp_threaded".to_owned())),
         (
-            "audits_per_s".to_owned(),
-            Json::F64(threaded.audits_per_s, 0),
+            "challenges_per_s".to_owned(),
+            Json::F64(threaded.challenges_per_s, 0),
         ),
         (
             "p99_session_latency_us".to_owned(),
@@ -331,18 +334,18 @@ fn audit_service_snapshot(_c: &mut Criterion) {
         sim.virtual_audits, sim.fast_track_audits, sim.distinct_rejecters, sim.sched_ops_per_s
     );
     println!(
-        "phase B threaded: {:.0} audits/s, p99 {} µs ({} samples)",
-        threaded.audits_per_s, threaded.p99_us, threaded.samples
+        "phase B threaded: {:.0} challenges/s, p99 {} µs ({} samples)",
+        threaded.challenges_per_s, threaded.p99_us, threaded.samples
     );
 
     if let Some((reactor, idle_held)) = reactor {
-        let ratio = reactor.audits_per_s / threaded.audits_per_s;
+        let ratio = reactor.challenges_per_s / threaded.challenges_per_s;
         snap = snap
             .run(vec![
                 ("mode".to_owned(), Json::Str("tcp_reactor".to_owned())),
                 (
-                    "audits_per_s".to_owned(),
-                    Json::F64(reactor.audits_per_s, 0),
+                    "challenges_per_s".to_owned(),
+                    Json::F64(reactor.challenges_per_s, 0),
                 ),
                 (
                     "p99_session_latency_us".to_owned(),
@@ -353,18 +356,18 @@ fn audit_service_snapshot(_c: &mut Criterion) {
             ])
             .result("reactor_over_threaded", Json::F64(ratio, 3));
         println!(
-            "phase B reactor: {:.0} audits/s, p99 {} µs ({} samples) while holding {} idle \
+            "phase B reactor: {:.0} challenges/s, p99 {} µs ({} samples) while holding {} idle \
              sockets (ratio {ratio:.3}x threaded)",
-            reactor.audits_per_s, reactor.p99_us, reactor.samples, idle_held
+            reactor.challenges_per_s, reactor.p99_us, reactor.samples, idle_held
         );
         let path = snap.write();
         println!("audit service snapshot → {}", path.display());
         assert!(
             ratio >= 1.0,
-            "reactor served {:.0} audits/s vs threaded {:.0} — the event loop regressed \
+            "reactor served {:.0} challenges/s vs threaded {:.0} — the event loop regressed \
              below the thread-per-connection baseline",
-            reactor.audits_per_s,
-            threaded.audits_per_s
+            reactor.challenges_per_s,
+            threaded.challenges_per_s
         );
     } else {
         let path = snap

@@ -150,10 +150,11 @@ impl ScrapeServer {
                         // Inline: a scrape is one small request/response.
                         let _ = handle_request(stream);
                     }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+                    // Nothing pending, or a failure such as EMFILE (which
+                    // Linux reports even with an empty backlog while the
+                    // process is out of fds): back off and retry. Leaving
+                    // the loop would strand a dead listener.
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             }
         });

@@ -5,19 +5,19 @@
 //! * [`codec`] — length-prefixed frames for challenge/response and audit
 //!   control messages, with strict parsing (size caps, UTF-8 checks,
 //!   truncation detection);
-//! * [`tcp`] — a TCP prover server plus a wall-clock timing client, so
-//!   the timed challenge–response phase can run over a real socket
-//!   rather than the simulator;
-//! * [`mux`] — the multi-connection, session-multiplexing server behind
-//!   `geoproof serve --concurrent`: sharded session table, per-session
-//!   statistics, graceful shutdown that joins every connection.
+//! * [`tcp`] — the shared segment store, the frame reader and a
+//!   wall-clock timing client, so the timed challenge–response phase
+//!   can run over a real socket rather than the simulator;
+//! * [`mux`] — the prover server behind `geoproof serve`:
+//!   [`MuxProverServer`] multiplexes audit sessions over many
+//!   connections (sharded session table, per-session statistics) and
+//!   serves static and dynamic files alike.
 //!
-//! Both servers run in one of two execution models sharing one
-//! protocol implementation: the classic **threaded** path (one thread
-//! per connection, blocking I/O) and the **reactor** path
-//! (`spawn_reactor*` constructors — every connection a non-blocking
-//! state machine on a single `geoproof_reactor` epoll thread, so
-//! concurrency is bounded by file descriptors rather than stacks).
+//! There is one server and one execution model: every connection is a
+//! non-blocking state machine on a single `geoproof_reactor` epoll
+//! thread, so concurrency is bounded by file descriptors rather than
+//! stacks. A thread-per-connection driver of the same protocol code
+//! survives only as a hidden test oracle (`oracle::ThreadedOracle`).
 //! See `crates/wire/docs/serving.md` for the architecture.
 //!
 //! # Examples
@@ -32,10 +32,12 @@
 
 pub mod codec;
 pub mod mux;
+#[doc(hidden)]
+pub mod oracle;
 mod reactor_serve;
 pub mod tcp;
 
 pub use codec::{read_frame, write_frame, CodecError, WireMessage, MAX_FRAME};
 pub use geoproof_reactor::raise_nofile_limit;
 pub use mux::{MuxProverServer, MuxStats, SessionKey, SessionStats, MAX_SESSIONS_PER_CONNECTION};
-pub use tcp::{ProverServer, SegmentStore, TcpChallenger};
+pub use tcp::{SegmentStore, TcpChallenger};

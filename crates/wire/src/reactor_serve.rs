@@ -1,14 +1,13 @@
 //! Event-driven serving core: connection state machines on the epoll
 //! reactor.
 //!
-//! The threaded servers in [`crate::tcp`] and [`crate::mux`] spend one
-//! OS thread per connection; this module serves the same protocol from
-//! **one** event-loop thread, so concurrency is bounded by file
-//! descriptors and heap, not stacks. The protocol semantics live behind
-//! one seam — [`FrameService`] — implemented once per server flavour
-//! and shared verbatim by both the threaded and reactor paths, which is
-//! what makes the differential suite's "verdicts byte-identical"
-//! guarantee hold by construction rather than by parallel maintenance.
+//! [`crate::mux::MuxProverServer`] serves every connection from **one**
+//! event-loop thread, so concurrency is bounded by file descriptors and
+//! heap, not stacks. The protocol semantics live in `MuxService`, which
+//! the thread-per-connection test oracle ([`crate::oracle`]) drives too
+//! — that is what makes the differential suite's "verdicts
+//! byte-identical" guarantee hold by construction rather than by
+//! parallel maintenance.
 //!
 //! ## Connection state machine
 //!
@@ -22,7 +21,7 @@
 //!   Delayed ◀──────────────────────────────────────────── yes │ no
 //!      │         (service-delay timer parks the frame;        ▼
 //!      │          reading pauses — ordering matches the   dispatch →
-//!      │          threaded path's blocking sleep)         write queue
+//!      │          oracle's blocking sleep)                write queue
 //!      ▼                                                      │
 //!   Writing ◀─────────────────────────────────────────────────┘
 //!      │  queue drained → back to read-only interest
@@ -39,15 +38,26 @@
 //! write interest only while the queue is non-empty. A connection whose
 //! backlog exceeds [`MAX_WRITE_BACKLOG`] is dropped — that peer is not
 //! reading its responses, which is either a stall or a hostile sink.
+//!
+//! ## Accept path
+//!
+//! The listener is edge-triggered, so [`accept_all`] drains the backlog
+//! until `WouldBlock`: `EINTR` is retried, a per-socket failure
+//! (`ECONNABORTED` and friends) skips that socket and keeps draining.
+//! Running out of descriptors (`EMFILE`/`ENFILE`) raises no new edge
+//! when fds free up, so the loop instead arms a retry timer on the
+//! listener's token and drains again when it fires. Each case counts in
+//! `reactor_accept_errors_total{reason=…}`.
 
 use crate::codec::WireMessage;
+use crate::mux::{FrameOutcome, MuxService};
 use crate::tcp::{IdleFrameReader, Polled};
 use bytes::Bytes;
 use geoproof_reactor::{Events, Interest, Reactor, Token, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,6 +75,8 @@ struct ReactorMetrics {
     timers: Arc<geoproof_obs::Counter>,
     connections: Arc<geoproof_obs::Gauge>,
     backlog_drops: Arc<geoproof_obs::Counter>,
+    /// Indexed like [`ACCEPT_ERROR_REASONS`].
+    accept_errors: [Arc<geoproof_obs::Counter>; 4],
 }
 
 fn reactor_metrics() -> &'static ReactorMetrics {
@@ -75,45 +87,12 @@ fn reactor_metrics() -> &'static ReactorMetrics {
         timers: geoproof_obs::counter("reactor_timers_fired_total"),
         connections: geoproof_obs::gauge("reactor_connections"),
         backlog_drops: geoproof_obs::counter("reactor_conns_dropped_total{reason=\"backlog\"}"),
+        accept_errors: ACCEPT_ERROR_REASONS.map(|reason| {
+            geoproof_obs::counter(&format!(
+                "reactor_accept_errors_total{{reason=\"{reason}\"}}"
+            ))
+        }),
     })
-}
-
-/// What one frame's handling asks of the connection.
-pub(crate) enum FrameOutcome {
-    /// Send this reply.
-    Reply(WireMessage),
-    /// Frame consumed, nothing to send (StartAudit, ignored replies).
-    Silent,
-    /// Polite end of connection (Bye).
-    Close,
-}
-
-/// The protocol seam shared by the threaded and reactor paths: one
-/// implementation per server flavour ([`crate::mux`]'s session-tracking
-/// service, [`crate::tcp`]'s plain store service). Everything a frame
-/// does — lookups, session bookkeeping, metrics, reply choice — happens
-/// in [`FrameService::handle`], so the two execution models cannot
-/// drift apart semantically.
-pub(crate) trait FrameService: Send + Sync + 'static {
-    /// Whether `msg` incurs the per-request service delay before being
-    /// handled (the simulated storage look-up: challenges do, control
-    /// frames don't). The threaded path sleeps; the reactor parks the
-    /// frame on a timer.
-    fn delayed(&self, msg: &WireMessage) -> bool {
-        matches!(
-            msg,
-            WireMessage::Challenge { .. } | WireMessage::DynChallenge { .. }
-        )
-    }
-
-    /// A connection was accepted (metrics hook).
-    fn on_open(&self, _conn_id: u64) {}
-
-    /// Handles one inbound frame.
-    fn handle(&self, conn_id: u64, msg: WireMessage) -> FrameOutcome;
-
-    /// A connection ended (for whatever reason); release its state.
-    fn on_close(&self, _conn_id: u64) {}
 }
 
 const LISTENER: Token = Token(0);
@@ -126,7 +105,7 @@ fn conn_token(conn_id: u64) -> Token {
 
 /// One connection's entire server-side state — heap-bounded and
 /// threadless, which is what lets the reactor hold tens of thousands of
-/// them (the threaded path pays a stack each).
+/// them (a thread per connection would pay a stack each).
 struct Conn {
     stream: TcpStream,
     reader: IdleFrameReader,
@@ -136,8 +115,8 @@ struct Conn {
     out_pos: usize,
     out_bytes: usize,
     /// A frame parked while its service-delay timer runs. Reading stays
-    /// paused until it fires, so frame ordering matches the threaded
-    /// path's blocking sleep exactly.
+    /// paused until it fires, so frame ordering matches the oracle's
+    /// blocking sleep exactly.
     parked: Option<WireMessage>,
     /// Write interest currently registered.
     want_write: bool,
@@ -192,18 +171,25 @@ enum Fate {
     Gone,
 }
 
+/// How long an fd-starved listener waits before draining its backlog
+/// again. Freed descriptors raise no listener edge, so without this
+/// retry queued connections would wait for an unrelated new connect.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
+
+/// `reason` labels of `reactor_accept_errors_total`.
+const ACCEPT_ERROR_REASONS: [&str; 4] = ["interrupted", "aborted", "fd_limit", "other"];
+
 /// Runs accept + serve for `listener` on a dedicated reactor thread.
 ///
 /// Returns the waker (stored by the server handle: `shutdown` sets
 /// `stop` then wakes, and the loop exits at its next dispatch point)
-/// and the join handle. `connections` is the shared accept counter the
-/// server's stats read — ids double as epoll tokens.
-pub(crate) fn spawn_reactor_loop<S: FrameService>(
+/// and the join handle. Connection ids (`MuxService::open`) double as
+/// epoll tokens.
+pub(crate) fn spawn_reactor_loop(
     listener: TcpListener,
-    service: Arc<S>,
+    service: Arc<MuxService>,
     service_delay: Duration,
     stop: Arc<AtomicBool>,
-    connections: Arc<AtomicU64>,
 ) -> std::io::Result<(Waker, std::thread::JoinHandle<()>)> {
     listener.set_nonblocking(true)?;
     let mut reactor = Reactor::new()?;
@@ -213,6 +199,7 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
     let handle = std::thread::Builder::new()
         .name("geoproof-reactor".into())
         .spawn(move || {
+            let service = &*service;
             let mut conns: HashMap<u64, Conn> = HashMap::new();
             let mut events = Events::with_capacity(256);
             while !stop.load(Ordering::Relaxed) {
@@ -233,7 +220,7 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
                 for i in 0..events.io().len() {
                     let ev = events.io()[i];
                     if ev.token == LISTENER {
-                        accept_all(&listener, &mut reactor, &mut conns, &*service, &connections);
+                        accept_all(&listener, &mut reactor, &mut conns, service);
                         continue;
                     }
                     let id = ev.token.0 - 1;
@@ -248,14 +235,19 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
                         fate = on_writable(conn, &mut reactor, id);
                     }
                     if matches!(fate, Fate::Alive) && ev.readable && !conn.closing {
-                        fate = pump(conn, id, &mut reactor, &*service, service_delay, &stop);
+                        fate = pump(conn, id, &mut reactor, service, service_delay, &stop);
                     }
                     if matches!(fate, Fate::Gone) {
-                        drop_conn(&mut conns, id, &mut reactor, &*service);
+                        drop_conn(&mut conns, id, &mut reactor, service);
                     }
                 }
                 for i in 0..events.timers().len() {
                     let token = events.timers()[i];
+                    if token == LISTENER {
+                        // The fd-starved listener's retry timer.
+                        accept_all(&listener, &mut reactor, &mut conns, service);
+                        continue;
+                    }
                     let id = token.0 - 1;
                     let Some(conn) = conns.get_mut(&id) else {
                         continue;
@@ -264,86 +256,104 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
                     // dispatch it, then resume pumping buffered frames.
                     let mut fate = Fate::Alive;
                     if let Some(msg) = conn.parked.take() {
-                        fate = dispatch(conn, id, msg, &*service, &mut reactor);
+                        fate = dispatch(conn, id, msg, service, &mut reactor);
                     }
                     if matches!(fate, Fate::Alive) && !conn.closing {
-                        fate = pump(conn, id, &mut reactor, &*service, service_delay, &stop);
+                        fate = pump(conn, id, &mut reactor, service, service_delay, &stop);
                     }
                     if matches!(fate, Fate::Gone) {
-                        drop_conn(&mut conns, id, &mut reactor, &*service);
+                        drop_conn(&mut conns, id, &mut reactor, service);
                     }
                 }
             }
             // Shutdown: every remaining connection releases its state.
             let ids: Vec<u64> = conns.keys().copied().collect();
             for id in ids {
-                drop_conn(&mut conns, id, &mut reactor, &*service);
+                drop_conn(&mut conns, id, &mut reactor, service);
             }
         })?;
     Ok((waker, handle))
 }
 
-fn accept_all<S: FrameService>(
+/// Accepts until the backlog is drained (`WouldBlock`) or descriptors
+/// run out, in which case the listener's retry timer is armed.
+fn accept_all(
     listener: &TcpListener,
     reactor: &mut Reactor,
     conns: &mut HashMap<u64, Conn>,
-    service: &S,
-    connections: &Arc<AtomicU64>,
+    service: &MuxService,
 ) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                let conn_id = connections.fetch_add(1, Ordering::Relaxed);
-                if reactor
-                    .register(
-                        &stream,
-                        conn_token(conn_id),
-                        Interest::READABLE.edge_triggered(),
-                    )
-                    .is_err()
-                {
-                    continue;
-                }
-                service.on_open(conn_id);
+        let (stream, _) = match listener.accept() {
+            Ok(accepted) => accepted,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+            Err(e) => {
+                use std::io::ErrorKind as K;
+                let (reason, retry_later) = match e.kind() {
+                    K::Interrupted => (0, false),
+                    // accept(2): the failure belongs to that one pending
+                    // socket (already consumed); the rest of the backlog
+                    // is still good.
+                    K::ConnectionAborted
+                    | K::PermissionDenied
+                    | K::NetworkDown
+                    | K::NetworkUnreachable
+                    | K::HostUnreachable => (1, false),
+                    // EMFILE / ENFILE (Linux numbering).
+                    _ if matches!(e.raw_os_error(), Some(24 | 23)) => (2, true),
+                    // Anything else (ENOBUFS, ENOMEM, …) may repeat on
+                    // every call: back off rather than spin.
+                    _ => (3, true),
+                };
                 if geoproof_obs::enabled() {
-                    reactor_metrics().connections.inc();
+                    reactor_metrics().accept_errors[reason].inc();
                 }
-                conns.insert(
-                    conn_id,
-                    Conn {
-                        stream,
-                        reader: IdleFrameReader::new(),
-                        out: VecDeque::new(),
-                        out_pos: 0,
-                        out_bytes: 0,
-                        parked: None,
-                        want_write: false,
-                        closing: false,
-                    },
-                );
+                if retry_later {
+                    reactor.set_timer(LISTENER, reactor.now_ns() + ACCEPT_RETRY.as_nanos() as u64);
+                    return;
+                }
+                continue;
             }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                return
-            }
-            // Transient per-socket accept failures (ECONNABORTED and
-            // friends) skip that socket; the listener stays armed.
-            Err(_) => return,
+        };
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            continue;
         }
+        let conn_id = service.open();
+        if reactor
+            .register(
+                &stream,
+                conn_token(conn_id),
+                Interest::READABLE.edge_triggered(),
+            )
+            .is_err()
+        {
+            continue;
+        }
+        if geoproof_obs::enabled() {
+            reactor_metrics().connections.inc();
+        }
+        conns.insert(
+            conn_id,
+            Conn {
+                stream,
+                reader: IdleFrameReader::new(),
+                out: VecDeque::new(),
+                out_pos: 0,
+                out_bytes: 0,
+                parked: None,
+                want_write: false,
+                closing: false,
+            },
+        );
     }
 }
 
 /// Drains inbound frames until `WouldBlock`, a parked delay, or death.
-fn pump<S: FrameService>(
+fn pump(
     conn: &mut Conn,
     id: u64,
     reactor: &mut Reactor,
-    service: &S,
+    service: &MuxService,
     service_delay: Duration,
     stop: &AtomicBool,
 ) -> Fate {
@@ -355,12 +365,9 @@ fn pump<S: FrameService>(
         if conn.parked.is_some() || stop.load(Ordering::Relaxed) {
             return Fate::Alive;
         }
-        match conn
-            .reader
-            .poll_et(&mut conn.stream, stop, &mut sock_drained)
-        {
+        match conn.reader.poll(&mut conn.stream, stop, &mut sock_drained) {
             Ok(Polled::Frame(msg)) => {
-                if !service_delay.is_zero() && service.delayed(&msg) {
+                if !service_delay.is_zero() && MuxService::delayed(&msg) {
                     // Park the frame and pause reading; the timer reuses
                     // the connection token (timers and I/O events travel
                     // in separate lanes, so there is no collision).
@@ -383,11 +390,11 @@ fn pump<S: FrameService>(
 }
 
 /// Hands one frame to the service and routes its outcome.
-fn dispatch<S: FrameService>(
+fn dispatch(
     conn: &mut Conn,
     id: u64,
     msg: WireMessage,
-    service: &S,
+    service: &MuxService,
     reactor: &mut Reactor,
 ) -> Fate {
     match service.handle(id, msg) {
@@ -459,16 +466,11 @@ fn set_write_interest(conn: &mut Conn, reactor: &mut Reactor, id: u64, on: bool)
     }
 }
 
-fn drop_conn<S: FrameService>(
-    conns: &mut HashMap<u64, Conn>,
-    id: u64,
-    reactor: &mut Reactor,
-    service: &S,
-) {
+fn drop_conn(conns: &mut HashMap<u64, Conn>, id: u64, reactor: &mut Reactor, service: &MuxService) {
     if let Some(conn) = conns.remove(&id) {
         reactor.cancel_timer(conn_token(id));
         let _ = reactor.deregister(&conn.stream);
-        service.on_close(id);
+        service.close(id);
         if geoproof_obs::enabled() {
             reactor_metrics().connections.dec();
         }

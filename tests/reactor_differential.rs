@@ -1,10 +1,11 @@
-//! Differential pin: the epoll reactor serving path and the classic
-//! thread-per-connection path must be **byte-identical** on the wire.
+//! Differential pin: the prover server (`MuxProverServer`, on the epoll
+//! reactor) must be **byte-identical** on the wire to the
+//! thread-per-connection oracle (`ThreadedOracle`).
 //!
-//! Both paths share one protocol implementation (`FrameService` in
+//! Both drive one protocol implementation (`MuxService` in
 //! `geoproof-wire`), so divergence would mean the reactor's state
-//! machine corrupted, reordered, or dropped something the threaded
-//! loop would have served. Two layers of pinning:
+//! machine corrupted, reordered, or dropped something the blocking
+//! oracle would have served. Two layers of pinning:
 //!
 //! 1. raw reply frames for a sweep of probe messages — happy path,
 //!    unknown files, out-of-range indices, dynamic ops — compared
@@ -29,8 +30,9 @@ use geoproof::por::params::PorParams;
 use geoproof::sim::time::{Km, SimDuration};
 use geoproof::tcp_audit::WallClockVerifier;
 use geoproof::wire::codec::WireMessage;
+use geoproof::wire::oracle::ThreadedOracle;
 use geoproof::wire::tcp::SegmentStore;
-use geoproof::wire::{MuxProverServer, ProverServer};
+use geoproof::wire::MuxProverServer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -92,7 +94,7 @@ fn mux_reply_frames_are_byte_identical_across_paths() {
         Err(e) if unsupported(&e) => return,
         Err(e) => panic!("spawn_reactor: {e}"),
     };
-    let threaded = MuxProverServer::spawn(store, Duration::ZERO).expect("spawn threaded");
+    let threaded = ThreadedOracle::spawn(store, Duration::ZERO).expect("spawn oracle");
 
     let probes = vec![
         // A session opener first: both paths must treat the following
@@ -100,8 +102,9 @@ fn mux_reply_frames_are_byte_identical_across_paths() {
         challenge(FILE, 0),
         challenge(FILE, n / 2),
         challenge(FILE, n - 1),
-        challenge(FILE, n),    // out of range -> Response(None)
-        challenge("ghost", 0), // unknown file -> Response(None)
+        challenge(FILE, n),        // out of range -> Response(None)
+        challenge(FILE, u64::MAX), // far out of range -> Response(None)
+        challenge("ghost", 0),     // unknown file -> Response(None)
         WireMessage::DynChallenge {
             file_id: "ghost".to_owned(), // no registry entry -> DynResponse(None)
             index: 3,
@@ -126,26 +129,6 @@ fn mux_reply_frames_are_byte_identical_across_paths() {
 }
 
 #[test]
-fn plain_server_reply_frames_are_byte_identical_across_paths() {
-    let (store, n, _, _) = encoded_store();
-    let reactor = match ProverServer::spawn_reactor(store.clone(), Duration::ZERO) {
-        Ok(s) => s,
-        Err(e) if unsupported(&e) => return,
-        Err(e) => panic!("spawn_reactor: {e}"),
-    };
-    let threaded = ProverServer::spawn(store, Duration::ZERO).expect("spawn threaded");
-    let probes = vec![
-        challenge(FILE, 0),
-        challenge(FILE, n - 1),
-        challenge(FILE, u64::MAX), // out of range
-        challenge("ghost", 7),
-    ];
-    let a = raw_replies(reactor.addr(), &probes);
-    let b = raw_replies(threaded.addr(), &probes);
-    assert_eq!(a, b, "plain-server replies diverge between paths");
-}
-
-#[test]
 fn dynamic_ops_are_byte_identical_across_paths() {
     use geoproof::por::dynamic::{tag_segment, DynamicOwner};
 
@@ -159,9 +142,9 @@ fn dynamic_ops_are_byte_identical_across_paths() {
         Err(e) if unsupported(&e) => return,
         Err(e) => panic!("spawn_reactor: {e}"),
     };
-    let threaded = MuxProverServer::spawn(empty(), Duration::ZERO).expect("spawn threaded");
+    let threaded = ThreadedOracle::spawn(empty(), Duration::ZERO).expect("spawn oracle");
     let da = reactor.put_dynamic("dyn", tagged.clone());
-    let db = threaded.put_dynamic("dyn", tagged.clone());
+    let db = threaded.dynamic().insert("dyn", tagged.clone());
     assert_eq!(da, db, "registries start from different digests");
 
     // The same owner-signed update bytes go to both servers, so the
@@ -276,7 +259,7 @@ fn concurrent_seeded_audits_agree_between_reactor_and_threaded() {
         Err(e) if unsupported(&e) => return,
         Err(e) => panic!("spawn_reactor: {e}"),
     };
-    let threaded = MuxProverServer::spawn(store, Duration::ZERO).expect("spawn threaded");
+    let threaded = ThreadedOracle::spawn(store, Duration::ZERO).expect("spawn oracle");
 
     const N_AUDITS: u64 = 8;
     const K: u32 = 6;
